@@ -61,14 +61,14 @@ unbounded; the ring only bounds *in-flight* batches.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.nids.flow import FlowKey
+from repro.nids.flow import FlowKey, PacketColumns
 from repro.nids.packets import Packet
 from repro.serving.stages import FlowPrediction
 
@@ -179,8 +179,7 @@ class PacketFrame:
     coordinator.
 
     ``to_packets`` materializes :class:`Packet` objects for the rare slow
-    paths (scalar flow-table fallbacks, failover rerouting, tests); it is
-    memoized per frame.
+    paths (failover rerouting, tests); it is memoized per frame.
     """
 
     __slots__ = ("records", "flows", "labels", "_cols", "_packets")
@@ -189,7 +188,7 @@ class PacketFrame:
         self.records = records
         self.flows = flows
         self.labels = labels
-        self._cols: Optional[Dict[str, Any]] = None
+        self._cols: Optional[PacketColumns] = None
         self._packets: Optional[List[Packet]] = None
 
     # ---------------------------------------------------------- construction
@@ -206,71 +205,36 @@ class PacketFrame:
         once per unique flow rather than once per packet.  Without it every
         flow belongs to tenant 0.
         """
-        n = len(packets)
-        records = np.zeros(n, dtype=PACKET_DTYPE)
-        slot_of: Dict[Tuple[str, int, str, int, str], int] = {}
-        flow_tuples: List[Tuple[str, int, str, int, str]] = []
-        label_of: Dict[str, int] = {}
-        label_list: List[str] = []
-        ts: List[float] = []
-        lengths: List[int] = []
-        flags: List[int] = []
-        slots: List[int] = []
-        sports: List[int] = []
-        dports: List[int] = []
-        src_is_a: List[bool] = []
-        label_ids: List[int] = []
-        for p in packets:
-            forward = (p.src_ip, p.src_port, p.dst_ip, p.dst_port)
-            backward = (p.dst_ip, p.dst_port, p.src_ip, p.src_port)
-            if forward <= backward:
-                a, src_a = forward, True
-            else:
-                a, src_a = backward, False
-            kt = (a[0], a[1], a[2], a[3], p.protocol)
-            slot = slot_of.setdefault(kt, len(flow_tuples))
-            if slot == len(flow_tuples):
-                flow_tuples.append(kt)
-            lid = label_of.setdefault(p.label, len(label_list))
-            if lid == len(label_list):
-                label_list.append(p.label)
-            ts.append(p.timestamp)
-            lengths.append(p.length)
-            flags.append(p.tcp_flags if p.protocol == "tcp" else 0)
-            slots.append(slot)
-            sports.append(p.src_port)
-            dports.append(p.dst_port)
-            src_is_a.append(src_a)
-            label_ids.append(lid)
-        if n:
-            records["ts"] = ts
-            records["length"] = lengths
-            records["flags"] = flags
-            records["flow_slot"] = slots
-            records["sport"] = sports
-            records["dport"] = dports
-            records["src_is_a"] = src_is_a
-            records["label_id"] = label_ids
+        cols = PacketColumns.from_packets(packets)
+        keys = cols.keys
         _check_widths(
-            [t[0] for t in flow_tuples] + [t[2] for t in flow_tuples],
+            [key[0] for key in keys] + [key[2] for key in keys],
             FLOW_DTYPE["ip_a"].itemsize,
             "flow endpoint",
         )
-        _check_widths(
-            [t[4] for t in flow_tuples], FLOW_DTYPE["protocol"].itemsize, "protocol"
-        )
-        _check_widths(label_list, LABEL_DTYPE.itemsize, "label")
-        flows = np.zeros(len(flow_tuples), dtype=FLOW_DTYPE)
-        if flow_tuples:
-            flows["ip_a"] = [t[0] for t in flow_tuples]
-            flows["port_a"] = [t[1] for t in flow_tuples]
-            flows["ip_b"] = [t[2] for t in flow_tuples]
-            flows["port_b"] = [t[3] for t in flow_tuples]
-            flows["protocol"] = [t[4] for t in flow_tuples]
+        _check_widths([key[4] for key in keys], FLOW_DTYPE["protocol"].itemsize, "protocol")
+        _check_widths(cols.labels, LABEL_DTYPE.itemsize, "label")
+        records = np.zeros(cols.n_packets, dtype=PACKET_DTYPE)
+        if cols.n_packets:
+            records["ts"] = cols.ts
+            records["length"] = cols.lengths
+            records["flags"] = cols.flags
+            records["flow_slot"] = cols.slots
+            records["sport"] = cols.sports
+            records["dport"] = cols.dports
+            records["src_is_a"] = cols.src_is_a
+            records["label_id"] = cols.label_ids
+        flows = np.zeros(len(keys), dtype=FLOW_DTYPE)
+        if keys:
+            ip_a, port_a, ip_b, port_b, protocol = zip(*keys)
+            flows["ip_a"] = ip_a
+            flows["port_a"] = port_a
+            flows["ip_b"] = ip_b
+            flows["port_b"] = port_b
+            flows["protocol"] = protocol
             if tenant_of is not None:
-                flows["tenant"] = [tenant_of(t[0], t[2]) for t in flow_tuples]
-        labels = np.array(label_list, dtype=LABEL_DTYPE)
-        return cls(records, flows, labels)
+                flows["tenant"] = [tenant_of(key[0], key[2]) for key in keys]
+        return cls(records, flows, np.array(cols.labels, dtype=LABEL_DTYPE))
 
     # -------------------------------------------------------------- geometry
     @property
@@ -305,50 +269,39 @@ class PacketFrame:
 
     def flow_keys(self) -> List[FlowKey]:
         """The canonical :class:`FlowKey` per sidecar row."""
-        return [
-            FlowKey(
-                ip_a=row["ip_a"].decode(),
-                port_a=int(row["port_a"]),
-                ip_b=row["ip_b"].decode(),
-                port_b=int(row["port_b"]),
-                protocol=row["protocol"].decode(),
-            )
-            for row in self.flows
-        ]
+        return [FlowKey(*key) for key in self.columns().keys]
 
-    def columns(self) -> Dict[str, Any]:
-        """The column set the flow table's vectorized core ingests.
+    def columns(self) -> PacketColumns:
+        """The frame as the flow table's input columns (cached).
 
-        Derived once per frame and cached: the per-packet string columns
-        (source ip, label) are reconstructed by *indexing the sidecar*, so
-        reconstruction is a handful of vector gathers -- not a per-packet
-        Python loop.
+        The strings are decoded once per sidecar row and label, never per
+        packet.
         """
         if self._cols is not None:
             return self._cols
         records = self.records
-        slots = records["flow_slot"].astype(np.int64)
-        src_a = records["src_is_a"].astype(bool)
-        ip_a = np.array([b.decode() for b in self.flows["ip_a"]], dtype=object)
-        ip_b = np.array([b.decode() for b in self.flows["ip_b"]], dtype=object)
-        label_table = np.array([b.decode() for b in self.labels], dtype=object)
-        if self.n_packets:
-            sips = np.where(src_a, ip_a[slots], ip_b[slots])
-            labels = label_table[records["label_id"]]
-        else:
-            sips = np.empty(0, dtype=object)
-            labels = np.empty(0, dtype=object)
-        self._cols = {
-            "slots": slots,
-            "ts": records["ts"].astype(np.float64),
-            "lengths": records["length"].astype(np.float64),
-            "flags": records["flags"].astype(np.int64),
-            "dports": records["dport"].astype(np.int64),
-            "sports": records["sport"].astype(np.int64),
-            "sips": sips,
-            "labels": labels,
-            "flow_keys": self.flow_keys(),
-        }
+        flows = self.flows
+        keys = list(
+            zip(
+                [ip.decode() for ip in flows["ip_a"].tolist()],
+                flows["port_a"].tolist(),
+                [ip.decode() for ip in flows["ip_b"].tolist()],
+                flows["port_b"].tolist(),
+                [protocol.decode() for protocol in flows["protocol"].tolist()],
+            )
+        )
+        self._cols = PacketColumns(
+            keys=keys,
+            labels=[label.decode() for label in self.labels.tolist()],
+            slots=records["flow_slot"].astype(np.int64),
+            src_is_a=records["src_is_a"].astype(bool),
+            label_ids=records["label_id"].astype(np.int64),
+            ts=records["ts"].astype(np.float64),
+            lengths=records["length"].astype(np.int64),
+            flags=records["flags"].astype(np.int64),
+            sports=records["sport"].astype(np.int64),
+            dports=records["dport"].astype(np.int64),
+        )
         return self._cols
 
     def to_packets(self) -> List[Packet]:
@@ -360,29 +313,28 @@ class PacketFrame:
         if self._packets is not None:
             return self._packets
         cols = self.columns()
-        ip_a = np.array([b.decode() for b in self.flows["ip_a"]], dtype=object)
-        ip_b = np.array([b.decode() for b in self.flows["ip_b"]], dtype=object)
-        slots = cols["slots"]
-        src_a = self.records["src_is_a"].astype(bool)
-        dips = (
-            np.where(src_a, ip_b[slots], ip_a[slots])
-            if self.n_packets
-            else np.empty(0, dtype=object)
-        )
-        protocols = [b.decode() for b in self.flows["protocol"]]
         self._packets = [
             Packet(
-                timestamp=float(cols["ts"][i]),
-                src_ip=str(cols["sips"][i]),
-                dst_ip=str(dips[i]),
-                src_port=int(cols["sports"][i]),
-                dst_port=int(cols["dports"][i]),
-                protocol=protocols[int(slots[i])],
-                length=int(cols["lengths"][i]),
-                tcp_flags=int(cols["flags"][i]),
-                label=str(cols["labels"][i]),
+                timestamp=ts,
+                src_ip=key[0] if src_a else key[2],
+                dst_ip=key[2] if src_a else key[0],
+                src_port=sport,
+                dst_port=dport,
+                protocol=key[4],
+                length=length,
+                tcp_flags=flags,
+                label=cols.labels[label_id],
             )
-            for i in range(self.n_packets)
+            for ts, key, src_a, sport, dport, length, flags, label_id in zip(
+                cols.ts.tolist(),
+                [cols.keys[slot] for slot in cols.slots.tolist()],
+                cols.src_is_a.tolist(),
+                cols.sports.tolist(),
+                cols.dports.tolist(),
+                cols.lengths.tolist(),
+                cols.flags.tolist(),
+                cols.label_ids.tolist(),
+            )
         ]
         return self._packets
 

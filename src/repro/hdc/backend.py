@@ -160,43 +160,6 @@ def segment_sum(
     return out
 
 
-def segment_min_max(
-    values: np.ndarray,
-    segment_ids: np.ndarray,
-    num_segments: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-segment minimum and maximum of ``values``.
-
-    The counterpart of :func:`segment_sum` for order statistics: the columnar
-    flow engine uses it to fill per-flow packet-length and inter-arrival
-    extrema in one pass instead of per-packet Python comparisons.
-
-    Returns
-    -------
-    (mins, maxs):
-        ``(num_segments,)`` float64 arrays.  Empty segments report ``+inf`` /
-        ``-inf`` so callers can guard on their own element counts.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    ids = np.asarray(segment_ids, dtype=np.int64).ravel()
-    if ids.shape[0] != values.shape[0]:
-        raise ConfigurationError(
-            f"segment_ids has {ids.shape[0]} entries but values has {values.shape[0]}"
-        )
-    k = int(num_segments)
-    if k <= 0:
-        raise ConfigurationError("num_segments must be positive")
-    if ids.size and (ids.min() < 0 or ids.max() >= k):
-        raise ConfigurationError(
-            f"segment_ids must be in [0, {k}), got [{ids.min()}, {ids.max()}]"
-        )
-    mins = np.full(k, np.inf)
-    maxs = np.full(k, -np.inf)
-    np.minimum.at(mins, ids, values)
-    np.maximum.at(maxs, ids, values)
-    return mins, maxs
-
-
 # -------------------------------------------------------------------- norms
 def row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row, in the matrix's own dtype."""
@@ -375,7 +338,6 @@ __all__ = [
     "DEFAULT_DTYPE",
     "resolve_dtype",
     "segment_sum",
-    "segment_min_max",
     "row_norms",
     "update_row_norms",
     "merge_class_deltas",

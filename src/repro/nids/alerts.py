@@ -105,7 +105,8 @@ class AlertManager:
             self.suppressed += 1
             return None
         ts = flow.end_time if timestamp is None else timestamp
-        dedup_key = (flow.initiator_ip, flow.key.ip_b, attack_class)
+        destination = flow.key.ip_b if flow.initiator_ip == flow.key.ip_a else flow.key.ip_a
+        dedup_key = (flow.initiator_ip, destination, attack_class)
         last = self._last_seen.get(dedup_key)
         if last is not None and (ts - last) < self.dedup_window:
             self.suppressed += 1
@@ -116,7 +117,7 @@ class AlertManager:
             attack_class=attack_class,
             severity=classify_severity(attack_class),
             source_ip=flow.initiator_ip,
-            destination_ip=flow.key.ip_b if flow.initiator_ip == flow.key.ip_a else flow.key.ip_a,
+            destination_ip=destination,
             confidence=float(confidence),
             description=f"flow of {flow.total_packets} packets / {flow.total_bytes} bytes",
         )

@@ -5,20 +5,29 @@ same flow).  The :class:`FlowTable` ingests time-ordered packets, keeps active
 flows, and expires them on an idle timeout -- the same mechanism CICFlowMeter
 uses to produce the flow records behind the CIC datasets.
 
-Two ingestion paths share identical semantics:
+One ingestion core serves every caller.  A batch first becomes
+:class:`PacketColumns`: ``FlowTable.add_packets`` columnarizes ``Packet``
+objects in one Python pass, and ``FlowTable.add_frame`` takes the columns a
+cluster transport frame already carries.  The table holds its active flows
+as a struct of arrays -- one row per flow with its counters, moments,
+extrema, initiator side, times, label, table rank and first destination
+port (the rare further distinct ports go to a per-flow set) -- so a batch
+merges into the table with array scatters, expiry is one mask over the rows, and
+:class:`FlowRecord` objects are built only for the flows that expire.
 
-``FlowTable.add_packet``
-    The scalar path: one packet at a time, used by interactive pushes.
+Every statistic equals a packet-by-packet fold in arrival order, float sums
+included.  A batch is processed as maximal runs of non-decreasing
+timestamps, and the flows one run closes come out in three groups:
 
-``FlowTable.add_packets``
-    The columnar path: a time-ordered batch is factorized into per-flow
-    packet groups in a single Python pass, then every per-flow statistic
-    (byte/packet counters, length moments, inter-arrival moments, TCP flag
-    counts, port diversity) is filled with array reductions -- no per-packet
-    Python dict churn on the hot path.  Flow records store *running
-    aggregates* (sums, sums of squares, extrema) rather than per-packet
-    ``List[int]`` buffers, so a record costs O(1) memory regardless of flow
-    length and batch aggregation is a handful of ``bincount`` calls.
+1. flows their key's first packet of the run finds timed out, in order of
+   the key's first appearance in the batch;
+2. flows the run itself splits off (idle gap or duration overrun), by the
+   key's first appearance, then by time;
+3. flows timed out at the run's last packet, in table order: the order in
+   which their keys entered the table, where a flow that continues its
+   key's previous flow keeps that flow's place.
+
+``flush`` returns the remaining flows in table order.
 """
 
 from __future__ import annotations
@@ -30,12 +39,27 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hdc.backend import segment_min_max
 from repro.nids.packets import Packet, TCP_FLAGS
 
-#: Batches smaller than this are cheaper through the scalar path (array
-#: setup costs more than it saves).
-_COLUMNAR_MIN_BATCH = 32
+#: A canonical flow key as a plain tuple: ``(ip_a, port_a, ip_b, port_b, protocol)``.
+KeyTuple = Tuple[str, int, str, int, str]
+
+#: Columns of ``np.unpackbits`` (most significant bit first) holding the TCP
+#: flags counted per flow, in :class:`FlowRecord` field order.
+_FLAG_COLUMNS = [
+    8 - TCP_FLAGS[name].bit_length() for name in ("SYN", "FIN", "RST", "PSH", "ACK", "URG")
+]
+_MAX_PORT = 65535
+_MIN_CAPACITY = 64
+_SUM_LANES = np.arange(4)
+#: Columns of the table's per-row float matrix.
+_F_START, _F_END, _F_LAST = 0, 1, 2
+_F_SUMS = slice(3, 7)  # fwd/bwd length sums of squares, iat sum, iat sum of squares
+_F_MINS = slice(7, 9)  # fwd length and iat minima
+_F_MAXS = slice(9, 11)  # fwd length and iat maxima
+#: Columns of the table's per-row integer matrix.
+_I_FWD, _I_BWD, _I_FWD_BYTES, _I_BWD_BYTES, _I_IATS = range(5)
+_I_FLAGS = slice(5, 11)  # TCP flag counts, as _FLAG_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -78,12 +102,9 @@ class FlowRecord:
 
     The *forward* direction is defined by the first packet seen.  All
     statistics are running aggregates (counts, sums, sums of squares,
-    extrema), so folding a packet -- or a whole pre-reduced packet batch --
-    into the record is O(1); the feature extractor derives means and standard
-    deviations from the moments.  Packets are assumed to arrive in time
-    order (the :class:`FlowTable` contract), which is what makes the
-    inter-arrival aggregates equal to the sorted-timestamp differences the
-    original list-based implementation computed.
+    extrema), so a record costs O(1) memory regardless of flow length; the
+    feature extractor derives means and standard deviations from the
+    moments.  :class:`FlowTable` builds records only when a flow expires.
     """
 
     key: FlowKey
@@ -114,49 +135,6 @@ class FlowRecord:
     urg_count: int = 0
     distinct_dst_ports: Set[int] = field(default_factory=set)
 
-    # ------------------------------------------------------------------- API
-    def add_packet(self, packet: Packet) -> None:
-        """Fold ``packet`` into the flow statistics."""
-        is_forward = (
-            packet.src_ip == self.initiator_ip and packet.src_port == self.initiator_port
-        )
-        if self.total_packets > 0:
-            iat = packet.timestamp - self.last_packet_time
-            self.iat_count += 1
-            self.iat_sum += iat
-            self.iat_sumsq += iat * iat
-            if iat < self.iat_min:
-                self.iat_min = iat
-            if iat > self.iat_max:
-                self.iat_max = iat
-        self.last_packet_time = packet.timestamp
-        self.end_time = max(self.end_time, packet.timestamp)
-        length = packet.length
-        if is_forward:
-            self.fwd_packets += 1
-            self.fwd_bytes += length
-            self.fwd_len_sumsq += float(length) * length
-            if length < self.fwd_len_min:
-                self.fwd_len_min = length
-            if length > self.fwd_len_max:
-                self.fwd_len_max = length
-            self.distinct_dst_ports.add(packet.dst_port)
-        else:
-            self.bwd_packets += 1
-            self.bwd_bytes += length
-            self.bwd_len_sumsq += float(length) * length
-        if packet.protocol == "tcp":
-            flags = packet.tcp_flags
-            self.syn_count += bool(flags & TCP_FLAGS["SYN"])
-            self.fin_count += bool(flags & TCP_FLAGS["FIN"])
-            self.rst_count += bool(flags & TCP_FLAGS["RST"])
-            self.psh_count += bool(flags & TCP_FLAGS["PSH"])
-            self.ack_count += bool(flags & TCP_FLAGS["ACK"])
-            self.urg_count += bool(flags & TCP_FLAGS["URG"])
-        # A flow carrying any attack packet is labeled with that attack.
-        if packet.label != "benign" and self.label == "benign":
-            self.label = packet.label
-
     @property
     def duration(self) -> float:
         """Flow duration in seconds (0 for single-packet flows)."""
@@ -172,18 +150,96 @@ class FlowRecord:
         """Total bytes in both directions."""
         return self.fwd_bytes + self.bwd_bytes
 
+
+@dataclass
+class PacketColumns:
+    """A packet batch in columns: the one input of the flow table's core.
+
+    ``keys`` holds the canonical flow keys in first-seen order and ``slots``
+    indexes it per packet.  ``src_is_a`` says whether a packet's source is
+    its key's A endpoint, which fixes its direction.  ``flags`` is zero for
+    non-TCP packets, and ``label_ids`` index ``labels``.
+    """
+
+    keys: List[KeyTuple]
+    labels: List[str]
+    slots: np.ndarray
+    src_is_a: np.ndarray
+    label_ids: np.ndarray
+    ts: np.ndarray
+    lengths: np.ndarray
+    flags: np.ndarray
+    sports: np.ndarray
+    dports: np.ndarray
+
+    @property
+    def n_packets(self) -> int:
+        """Packets in the batch."""
+        return int(self.ts.shape[0])
+
     @classmethod
-    def from_first_packet(cls, packet: Packet) -> "FlowRecord":
-        """Start a new flow record from its first packet."""
-        record = cls(
-            key=FlowKey.from_packet(packet),
-            initiator_ip=packet.src_ip,
-            initiator_port=packet.src_port,
-            start_time=packet.timestamp,
-            end_time=packet.timestamp,
+    def from_packets(cls, packets: Sequence[Packet]) -> "PacketColumns":
+        """Columnarize ``packets`` in one pass.
+
+        Each distinct (endpoints, protocol, label) combination is
+        canonicalized once; repeats cost one dict lookup.
+        """
+        slot_of: Dict[KeyTuple, int] = {}
+        keys: List[KeyTuple] = []
+        label_of: Dict[str, int] = {}
+        labels: List[str] = []
+        combo_of: Dict[tuple, int] = {}
+        combos: List[Tuple[int, bool, int, int, int]] = []
+        codes: List[int] = []
+        ts: List[float] = []
+        lengths: List[int] = []
+        flags: List[int] = []
+        get = combo_of.get
+        add_code, add_ts, add_length, add_flags = (
+            codes.append, ts.append, lengths.append, flags.append
         )
-        record.add_packet(packet)
-        return record
+        for p in packets:
+            route = (p.src_ip, p.src_port, p.dst_ip, p.dst_port, p.protocol, p.label)
+            code = get(route)
+            if code is None:
+                sip, sport, dip, dport, protocol, label = route
+                src_is_a = (sip, sport) <= (dip, dport)
+                if src_is_a:
+                    key = (sip, sport, dip, dport, protocol)
+                else:
+                    key = (dip, dport, sip, sport, protocol)
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(keys)
+                    keys.append(key)
+                label_id = label_of.get(label)
+                if label_id is None:
+                    label_id = label_of[label] = len(labels)
+                    labels.append(label)
+                code = combo_of[route] = len(combos)
+                combos.append((slot, src_is_a, label_id, sport, dport))
+            add_code(code)
+            add_ts(p.timestamp)
+            add_length(p.length)
+            add_flags(p.tcp_flags)
+        combo = np.array(combos, dtype=np.int64).reshape(-1, 5)
+        if combos and (combo[:, 3:].min() < 0 or combo[:, 3:].max() > _MAX_PORT):
+            raise ConfigurationError(f"packet ports must be in [0, {_MAX_PORT}]")
+        code = np.array(codes, dtype=np.int64)
+        slots = combo[:, 0][code]
+        is_tcp = np.array([key[4] == "tcp" for key in keys], dtype=bool)
+        return cls(
+            keys=keys,
+            labels=labels,
+            slots=slots,
+            src_is_a=combo[:, 1].astype(bool)[code],
+            label_ids=combo[:, 2][code],
+            ts=np.array(ts, dtype=np.float64),
+            lengths=np.array(lengths, dtype=np.int64),
+            flags=np.where(is_tcp[slots], np.array(flags, dtype=np.int64), 0),
+            sports=combo[:, 3][code],
+            dports=combo[:, 4][code],
+        )
 
 
 class FlowTable:
@@ -203,8 +259,30 @@ class FlowTable:
         router's invariant); a table owned by one shard installs its guard
         here and a misrouted packet -- which would silently split one flow's
         state across two replicas -- raises :class:`ConfigurationError`
-        instead.  Checked once per flow key, not per packet.
+        instead.  Checked once per new flow key, before the batch touches
+        any state, so a rejected batch leaves the table unchanged.
     """
+
+    _floats: np.ndarray
+    _ints: np.ndarray
+    _init_a: np.ndarray
+    _label: np.ndarray
+    _rank: np.ndarray
+    _port0: np.ndarray
+    _alive: np.ndarray
+    #: Per-row arrays; rows of expired flows are recycled through a free stack.
+    _ROW_ARRAYS = (
+        # _F_* columns: times, float sums (accumulated in arrival order), extrema
+        ("_floats", (11,), np.float64),
+        # _I_* columns: fwd/bwd packets and bytes, iat count, TCP flag counts
+        ("_ints", (11,), np.int64),
+        ("_init_a", (), bool),
+        ("_label", (), np.int64),
+        ("_rank", (), np.int64),
+        # first forward destination port, -1 before any forward packet
+        ("_port0", (), np.int64),
+        ("_alive", (), bool),
+    )
 
     def __init__(
         self,
@@ -217,49 +295,55 @@ class FlowTable:
         self.idle_timeout = float(idle_timeout)
         self.max_flow_duration = float(max_flow_duration)
         self.shard_guard = shard_guard
-        self._active: Dict[FlowKey, FlowRecord] = {}
+        #: Active key -> its row.
+        self._row_of: Dict[KeyTuple, int] = {}
+        self._keys: List[Optional[FlowKey]] = []
+        self._label_names: List[str] = ["benign"]
+        self._label_index: Dict[str, int] = {"benign": 0}
+        self._next_rank = 0
+        #: Row -> its forward destination ports other than the first.
+        self._more_ports: Dict[int, Set[int]] = {}
+        for name, tail, dtype in self._ROW_ARRAYS:
+            setattr(self, name, np.zeros((0, *tail), dtype=dtype))
+        self._free = np.empty(0, dtype=np.int64)
+        self._n_free = 0
+        self._grow(_MIN_CAPACITY)
 
     # ------------------------------------------------------------------- API
     @property
     def active_flows(self) -> int:
         """Number of currently active (unexpired) flows."""
-        return len(self._active)
+        return len(self._row_of)
 
     def active_keys(self) -> List[FlowKey]:
         """Keys of the currently active flows (for liveness watermarks)."""
-        return list(self._active.keys())
+        keys = self._keys
+        return [keys[row] for row in self._row_of.values()]
 
     def add_packet(self, packet: Packet) -> List[FlowRecord]:
         """Ingest one packet; returns any flows expired by the packet's timestamp."""
-        expired = self._expire(packet.timestamp)
-        key = FlowKey.from_packet(packet)
-        record = self._active.get(key)
-        if record is None:
-            self._check_ownership(key)
-            self._active[key] = FlowRecord.from_first_packet(packet)
-        else:
-            record.add_packet(packet)
-        return expired
+        return self.add_packets([packet])
 
     def add_packets(self, packets: Sequence[Packet]) -> List[FlowRecord]:
-        """Ingest a time-ordered packet batch; returns flows expired along the way.
+        """Ingest a packet batch; returns the flows it expired, in emission order."""
+        return self._ingest(PacketColumns.from_packets(packets))
 
-        Large batches take the columnar path: per-flow statistics are filled
-        with array reductions over the whole batch instead of per-packet
-        Python updates.  The returned flow set is identical to feeding the
-        packets one at a time through :meth:`add_packet` (ordering of the
-        returned list may differ).
+    def add_frame(self, frame) -> List[FlowRecord]:
+        """Ingest a columnar transport frame (``repro.cluster.ring``).
+
+        ``frame`` is duck-typed (``columns()`` returning
+        :class:`PacketColumns`) so this module stays import-free of the
+        transport.  The result is identical to ``add_packets`` of the
+        frame's packets.
         """
-        packets = list(packets)
-        if len(packets) < _COLUMNAR_MIN_BATCH:
-            return self._add_packets_scalar(packets)
-        return self._add_packets_columnar(packets)
+        return self._ingest(frame.columns())
 
     def flush(self) -> List[FlowRecord]:
         """Expire and return all remaining active flows (end of capture)."""
-        flows = list(self._active.values())
-        self._active.clear()
-        return flows
+        rows = self._alive.nonzero()[0]
+        rows = rows[self._rank[rows].argsort(kind="stable")]
+        self._row_of.clear()
+        return self._emit(rows)
 
     # ------------------------------------------------------------- internals
     def _check_ownership(self, key: FlowKey) -> None:
@@ -269,396 +353,337 @@ class FlowTable:
                 "packet would split one flow's state across worker replicas"
             )
 
-    def _add_packets_scalar(self, packets: List[Packet]) -> List[FlowRecord]:
-        completed: List[FlowRecord] = []
-        for packet in packets:
-            completed.extend(self.add_packet(packet))
-        return completed
+    def _grow(self, needed: int) -> None:
+        """Double the row capacity until ``needed`` rows fit."""
+        old = self._alive.shape[0]
+        capacity = max(old, _MIN_CAPACITY)
+        while capacity < needed:
+            capacity *= 2
+        if capacity == old:
+            return
+        for name, tail, dtype in self._ROW_ARRAYS:
+            grown = np.zeros((capacity, *tail), dtype=dtype)
+            grown[:old] = getattr(self, name)
+            setattr(self, name, grown)
+        self._keys.extend([None] * (capacity - old))
+        free = np.empty(capacity, dtype=np.int64)
+        free[: self._n_free] = self._free[: self._n_free]
+        # Pushed highest first, so low rows are handed out first.
+        free[self._n_free : self._n_free + capacity - old] = np.arange(capacity - 1, old - 1, -1)
+        self._free = free
+        self._n_free += capacity - old
 
-    def _expire(self, now: float) -> List[FlowRecord]:
+    def _alloc(self, k: int) -> np.ndarray:
+        if self._n_free < k:
+            self._grow(self._alive.shape[0] - self._n_free + k)
+        self._n_free -= k
+        return self._free[self._n_free : self._n_free + k].copy()
+
+    def _label_id(self, name: str) -> int:
+        index = self._label_index.get(name)
+        if index is None:
+            index = self._label_index[name] = len(self._label_names)
+            self._label_names.append(name)
+        return index
+
+    def _ingest(self, cols: PacketColumns) -> List[FlowRecord]:
+        n = cols.n_packets
+        if n == 0:
+            return []
+        keys = cols.keys
+        if self.shard_guard is not None:
+            for key in keys:
+                if key not in self._row_of:
+                    self._check_ownership(FlowKey(*key))
+        label_map = np.array([self._label_id(name) for name in cols.labels], dtype=np.int64)
+        columns = (
+            cols.slots,
+            cols.src_is_a,
+            label_map[cols.label_ids],
+            cols.ts,
+            cols.lengths,
+            cols.flags,
+            cols.dports,
+        )
+        ts = cols.ts
+        bounds = [0, *((ts[1:] < ts[:-1]).nonzero()[0] + 1).tolist(), n]
         expired: List[FlowRecord] = []
-        stale_keys = [
-            key
-            for key, record in self._active.items()
-            if (now - record.end_time) > self.idle_timeout
-            or (now - record.start_time) > self.max_flow_duration
-        ]
-        for key in stale_keys:
-            expired.append(self._active.pop(key))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            expired.extend(self._ingest_run(keys, *(column[lo:hi] for column in columns)))
         return expired
 
-    def _fold_key_scalar(self, key: FlowKey, packets: List[Packet]) -> List[FlowRecord]:
-        """Scalar fold of one key's packets, without touching other flows.
-
-        Used by the columnar path for the rare keys that need sequential
-        duration splitting (a segment overrunning ``max_flow_duration``
-        restarts the flow mid-stream, which has a loop-carried dependency).
-        """
-        completed: List[FlowRecord] = []
-        record = self._active.pop(key, None)
-        for packet in packets:
-            if record is not None and (
-                (packet.timestamp - record.end_time) > self.idle_timeout
-                or (packet.timestamp - record.start_time) > self.max_flow_duration
-            ):
-                completed.append(record)
-                record = None
-            if record is None:
-                record = FlowRecord.from_first_packet(packet)
-            else:
-                record.add_packet(packet)
-        if record is not None:
-            self._active[key] = record
-        return completed
-
-    def _add_packets_columnar(self, packets: List[Packet]) -> List[FlowRecord]:
-        n = len(packets)
-
-        # ---- pass 1: columnarize fields and factorize flow keys -----------
-        slot_of: Dict[Tuple[str, int, str, int, str], int] = {}
-        keys: List[Tuple[str, int, str, int, str]] = []
-        slots = np.empty(n, dtype=np.int64)
-        ts = np.empty(n, dtype=np.float64)
-        lengths = np.empty(n, dtype=np.float64)
-        flags = np.empty(n, dtype=np.int64)
-        dports = np.empty(n, dtype=np.int64)
-        sports = np.empty(n, dtype=np.int64)
-        sips: List[str] = []
-        labels: List[str] = []
-        for i, p in enumerate(packets):
-            forward = (p.src_ip, p.src_port, p.dst_ip, p.dst_port)
-            backward = (p.dst_ip, p.dst_port, p.src_ip, p.src_port)
-            a = forward if forward <= backward else backward
-            kt = (a[0], a[1], a[2], a[3], p.protocol)
-            slot = slot_of.setdefault(kt, len(keys))
-            if slot == len(keys):
-                keys.append(kt)
-            slots[i] = slot
-            ts[i] = p.timestamp
-            lengths[i] = p.length
-            flags[i] = p.tcp_flags if p.protocol == "tcp" else 0
-            dports[i] = p.dst_port
-            sports[i] = p.src_port
-            sips.append(p.src_ip)
-            labels.append(p.label)
-
-        flow_keys = [FlowKey(*kt) for kt in keys]
-        return self._ingest_columns(
-            slots=slots,
-            ts=ts,
-            lengths=lengths,
-            flags=flags,
-            dports=dports,
-            sports=sports,
-            sips=sips,
-            labels=labels,
-            flow_keys=flow_keys,
-            packets_provider=lambda: packets,
-        )
-
-    def add_frame(self, frame) -> List[FlowRecord]:
-        """Ingest a columnar transport frame (``repro.cluster.ring``).
-
-        The frame already carries the exact column set pass 1 of the
-        columnar path would build from ``Packet`` objects -- the whole
-        per-packet Python loop the cluster worker used to pay per batch
-        disappears.  ``frame`` is duck-typed (``columns()``/``to_packets()``
-        /``n_packets``) so this module stays import-free of the transport.
-        The result is identical to ``add_packets(frame.to_packets())``.
-        """
-        if frame.n_packets < _COLUMNAR_MIN_BATCH:
-            return self._add_packets_scalar(frame.to_packets())
-        cols = frame.columns()
-        return self._ingest_columns(
-            slots=cols["slots"],
-            ts=cols["ts"],
-            lengths=cols["lengths"],
-            flags=cols["flags"],
-            dports=cols["dports"],
-            sports=cols["sports"],
-            sips=cols["sips"],
-            labels=cols["labels"],
-            flow_keys=cols["flow_keys"],
-            packets_provider=frame.to_packets,
-        )
-
-    def _ingest_columns(
+    def _ingest_run(
         self,
-        slots: np.ndarray,
+        keys: List[KeyTuple],
+        slot: np.ndarray,
+        src_is_a: np.ndarray,
+        label: np.ndarray,
         ts: np.ndarray,
         lengths: np.ndarray,
         flags: np.ndarray,
-        dports: np.ndarray,
-        sports: np.ndarray,
-        sips,
-        labels,
-        flow_keys: List[FlowKey],
-        packets_provider,
+        dport: np.ndarray,
     ) -> List[FlowRecord]:
-        """The vectorized ingestion core shared by packets and frames.
-
-        ``slots`` factorizes packets onto ``flow_keys`` (first-seen order);
-        ``packets_provider`` materializes the batch as ``Packet`` objects
-        only for the rare fallbacks (non-monotonic timestamps, duration
-        overrun) that need the sequential reference path.
-        """
-        n = int(ts.size)
+        """Merge one run of non-decreasing timestamps into the table."""
         idle = self.idle_timeout
         max_dur = self.max_flow_duration
+        n = ts.shape[0]
+        floats = self._floats
 
-        # The columnar semantics rely on time-ordered input (the documented
-        # FlowTable contract); fall back to the scalar path otherwise.
-        if np.any(np.diff(ts) < 0):
-            return self._add_packets_scalar(packets_provider())
-
-        n_slots = len(flow_keys)
-        if self.shard_guard is not None:
-            # Keys already active were validated when their flow was created;
-            # only new keys pay the ownership check (once per flow, as the
-            # class docstring promises -- not once per batch).
-            for flow_key in flow_keys:
-                if flow_key not in self._active:
-                    self._check_ownership(flow_key)
-
-        # ---- group by flow, preserving time order within each flow --------
-        order = np.argsort(slots, kind="stable")
-        g_slot = slots[order]
+        # ---- group packets by key, in time order within each key ----------
+        order = slot.argsort(kind="stable")
+        g_slot = slot[order]
         g_ts = ts[order]
-        slot_first = np.r_[True, g_slot[1:] != g_slot[:-1]]
-        gap = np.empty(n, dtype=np.float64)
-        gap[0] = np.inf
-        gap[1:] = g_ts[1:] - g_ts[:-1]
-        gap[slot_first] = np.inf
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(g_slot[1:], g_slot[:-1], out=first[1:])
+        first_pos = first.nonzero()[0]
+        present = g_slot[first_pos]
 
-        # ---- merge-with-active decisions ----------------------------------
-        slot_start_pos = np.flatnonzero(slot_first)
-        merged_record: List[Optional[FlowRecord]] = [None] * n_slots
-        completed: List[FlowRecord] = []
-        for pos in slot_start_pos:
-            j = int(g_slot[pos])
-            record = self._active.get(flow_keys[j])
-            if record is None:
-                continue
-            t0 = g_ts[pos]
-            if (t0 - record.end_time) <= idle and (t0 - record.start_time) <= max_dur:
-                merged_record[j] = record
-                gap[pos] = t0 - record.last_packet_time
-            else:
-                # The active flow is superseded by this batch's first packet.
-                completed.append(self._active.pop(flow_keys[j]))
-
-        # ---- candidate segments (gap splits) ------------------------------
-        def derive_segments(g_slot, g_ts, gap):
-            """Segment structure for grouped arrays whose ``gap`` already
-            carries merge-bridge values at merged slot firsts.  Segment 0 of
-            a slot whose active record merges continues that record (its
-            start time is the record's, and it is flagged in ``seg_merge``)."""
-            slot_first = np.r_[True, g_slot[1:] != g_slot[:-1]]
-            seg_break = slot_first | (gap > idle)
-            seg = np.cumsum(seg_break) - 1
-            seg_start_pos = np.flatnonzero(seg_break)
-            seg_end_pos = np.r_[seg_start_pos[1:] - 1, g_ts.size - 1]
-            seg_slot = g_slot[seg_start_pos]
-            seg_merge = np.zeros(seg_start_pos.size, dtype=bool)
-            seg_start_time = g_ts[seg_start_pos].copy()
-            for s in np.flatnonzero(slot_first[seg_start_pos]):
-                record = merged_record[int(seg_slot[s])]
-                if record is not None:
-                    seg_merge[s] = True
-                    seg_start_time[s] = record.start_time
-            return seg_break, seg, seg_start_pos, seg_end_pos, seg_slot, seg_merge, seg_start_time
-
-        seg_break, seg, seg_start_pos, seg_end_pos, seg_slot, seg_merge, seg_start_time = (
-            derive_segments(g_slot, g_ts, gap)
-        )
-        seg_t0 = g_ts[seg_start_pos]
-        seg_t1 = g_ts[seg_end_pos]
-        n_seg = seg_start_pos.size
-
-        # ---- duration-overrun slots take the scalar fold ------------------
-        overrun = (seg_t1 - seg_start_time) > max_dur
-        if np.any(overrun):
-            packets = packets_provider()
-            bad_slots = set(int(j) for j in np.unique(seg_slot[overrun]))
-            keep = ~np.isin(g_slot, list(bad_slots))
-            for j in sorted(bad_slots):
-                key = flow_keys[j]
-                record = merged_record[j]
-                if record is not None:
-                    # _fold_key_scalar resumes from the active record.
-                    self._active[key] = record
-                slot_packets = [packets[i] for i in order[g_slot == j]]
-                completed.extend(self._fold_key_scalar(key, slot_packets))
-            if not np.any(keep):
-                completed.extend(self._expire(float(ts[-1])))
-                return completed
-            # Restrict the columnar arrays to the surviving slots and
-            # re-derive.  Whole slots are removed together, so gaps
-            # (including merge-bridge values at slot firsts) survive the
-            # masking unchanged.
-            g_slot = g_slot[keep]
-            g_ts = g_ts[keep]
-            order = order[keep]
-            gap = gap[keep]
-            seg_break, seg, seg_start_pos, seg_end_pos, seg_slot, seg_merge, _ = (
-                derive_segments(g_slot, g_ts, gap)
+        # ---- does each key's first packet continue its active flow? -------
+        row_of = self._row_of
+        prior = np.array([row_of.get(keys[j], -1) for j in present.tolist()], dtype=np.int64)
+        slot_row = np.full(present.shape[0], -1, dtype=np.int64)
+        active = (prior >= 0).nonzero()[0]
+        superseded = prior[:0]
+        if active.size:
+            rows = prior[active]
+            t0 = g_ts[first_pos[active]]
+            merge = ((t0 - floats[rows, _F_END]) <= idle) & (
+                (t0 - floats[rows, _F_START]) <= max_dur
             )
-            seg_t0 = g_ts[seg_start_pos]
-            seg_t1 = g_ts[seg_end_pos]
-            n_seg = seg_start_pos.size
+            slot_row[active[merge]] = rows[merge]
+            superseded = rows[~merge]
+        m_row = slot_row[first.cumsum() - 1]
+        m_first = first & (m_row >= 0)
+        any_merged = bool(m_first.any())
 
-        n_kept = g_ts.size
+        # ---- idle splits: a packet finds its flow's end more than idle ago --
+        prev_t = np.empty(n)
+        prev_t[0] = -np.inf
+        prev_t[1:] = g_ts[:-1]
+        flow_end = prev_t
+        if any_merged:
+            flow_end = np.where(m_row >= 0, np.maximum(floats[m_row, _F_END], prev_t), prev_t)
+        seg_start = first | ((g_ts - flow_end) > idle)
 
-        # ---- per-packet derived arrays ------------------------------------
+        # ---- duration splits, at the first overrunning packet, repeated ----
+        while True:
+            spos = seg_start.nonzero()[0]
+            seg_of = seg_start.cumsum() - 1
+            s_merged = m_first[spos]
+            s_time = g_ts[spos]
+            if any_merged:
+                s_time[s_merged] = floats[m_row[spos[s_merged]], _F_START]
+            over = ((g_ts - s_time[seg_of]) > max_dur).nonzero()[0]
+            if not over.size:
+                break
+            over_seg = seg_of[over]
+            first_over = np.ones(over.shape[0], dtype=bool)
+            np.not_equal(over_seg[1:], over_seg[:-1], out=first_over[1:])
+            seg_start[over[first_over]] = True
+
+        n_seg = spos.shape[0]
+        seg_last = np.empty(n_seg, dtype=np.int64)
+        seg_last[:-1] = spos[1:] - 1
+        seg_last[-1] = n - 1
+        seg_slot = g_slot[spos]
+        last_of_key = np.ones(n_seg, dtype=bool)
+        np.not_equal(seg_slot[1:], seg_slot[:-1], out=last_of_key[:-1])
+        merged = s_merged.nonzero()[0]
+        merged_rows = m_row[spos[merged]]
+
+        # ---- per-packet direction and inter-arrival times ------------------
+        g_src_a = src_is_a[order]
+        init_a = g_src_a[spos]
+        init_a[merged] = self._init_a[merged_rows]
+        fwd = g_src_a == init_a[seg_of]
+        iat = g_ts - prev_t
+        iat_ok = ~seg_start
+        if any_merged:
+            iat[m_first] = g_ts[m_first] - floats[m_row[m_first], _F_LAST]
+            iat_ok |= m_first
+
+        # ---- per-flow aggregates -------------------------------------------
         g_len = lengths[order]
-        g_flags = flags[order]
-        g_dport = dports[order]
-        g_sport = sports[order]
-        g_sip = np.asarray(sips, dtype=object)[order]
-        g_label = np.asarray(labels, dtype=object)[order]
+        ints = np.empty((n, 11), dtype=np.int64)
+        ints[:, _I_FWD] = fwd
+        ints[:, _I_BWD] = ~fwd
+        ints[:, _I_FWD_BYTES] = np.where(fwd, g_len, 0)
+        ints[:, _I_BWD_BYTES] = g_len - ints[:, _I_FWD_BYTES]
+        ints[:, _I_IATS] = iat_ok
+        ints[:, _I_FLAGS] = np.unpackbits(flags[order].astype(np.uint8)[:, None], axis=1)[
+            :, _FLAG_COLUMNS
+        ]
+        agg = np.add.reduceat(ints, spos, axis=0)
+        agg[merged] += self._ints[merged_rows]
 
-        # Direction: forward packets match the segment initiator.
-        init_ip = np.empty(n_seg, dtype=object)
-        init_port = np.empty(n_seg, dtype=np.int64)
-        for s in range(n_seg):
-            if seg_merge[s]:
-                record = merged_record[int(seg_slot[s])]
-                init_ip[s] = record.initiator_ip
-                init_port[s] = record.initiator_port
-            else:
-                pos = seg_start_pos[s]
-                init_ip[s] = g_sip[pos]
-                init_port[s] = g_sport[pos]
-        seg_sizes = np.r_[seg_start_pos[1:], n_kept] - seg_start_pos
-        fwd = (g_sip == np.repeat(init_ip, seg_sizes)) & (
-            g_sport == np.repeat(init_port, seg_sizes)
+        flow = np.empty((n_seg, 11))
+        flow[:, _F_START] = s_time
+        flow[:, _F_LAST] = g_ts[seg_last]
+        flow[:, _F_END] = flow[:, _F_LAST]
+        # Float sums accumulate in arrival order, continuing a merged flow's
+        # running value, so they equal a packet-by-packet fold bit for bit:
+        # bincount adds its weights in array order, and the zeros padding
+        # the lanes a packet does not feed leave a sum unchanged.
+        len_f = g_len.astype(np.float64)
+        gap = np.where(iat_ok, iat, 0.0)
+        values = np.empty((n, 4))
+        values[:, 0] = np.where(fwd, len_f * len_f, 0.0)
+        values[:, 1] = len_f * len_f - values[:, 0]
+        values[:, 2] = gap
+        values[:, 3] = gap * gap
+        bins = (seg_of[:, None] * 4 + _SUM_LANES).ravel()
+        weights = values.ravel()
+        extrema = np.empty((n, 2))
+        extrema[:, 0] = np.where(fwd, len_f, np.inf)
+        extrema[:, 1] = np.where(iat_ok, iat, np.inf)
+        flow[:, _F_MINS] = np.minimum.reduceat(extrema, spos, axis=0)
+        extrema[:, 0] = np.where(fwd, len_f, -np.inf)
+        extrema[:, 1] = np.where(iat_ok, iat, -np.inf)
+        flow[:, _F_MAXS] = np.maximum.reduceat(extrema, spos, axis=0)
+        if any_merged:
+            before = floats[merged_rows]
+            bins = np.concatenate([(merged[:, None] * 4 + _SUM_LANES).ravel(), bins])
+            weights = np.concatenate([before[:, _F_SUMS].ravel(), weights])
+            flow[merged, _F_END] = np.maximum(before[:, _F_END], flow[merged, _F_LAST])
+            flow[merged, _F_MINS] = np.minimum(flow[merged, _F_MINS], before[:, _F_MINS])
+            flow[merged, _F_MAXS] = np.maximum(flow[merged, _F_MAXS], before[:, _F_MAXS])
+        flow[:, _F_SUMS] = np.bincount(bins, weights=weights, minlength=4 * n_seg).reshape(n_seg, 4)
+
+        # The first attack label a flow carries sticks.
+        g_label = label[order]
+        seg_label = np.zeros(n_seg, dtype=np.int64)
+        attack = g_label.nonzero()[0]
+        if attack.size:
+            attack_seg = seg_of[attack]
+            first_attack = np.ones(attack.shape[0], dtype=bool)
+            np.not_equal(attack_seg[1:], attack_seg[:-1], out=first_attack[1:])
+            seg_label[attack_seg[first_attack]] = g_label[attack[first_attack]]
+        previous_label = self._label[merged_rows]
+        seg_label[merged] = np.where(previous_label != 0, previous_label, seg_label[merged])
+
+        # Distinct forward destination ports: a flow's first one in a row
+        # array, the rare further ones in a per-flow set.
+        port0 = np.full(n_seg, -1, dtype=np.int64)
+        fwd_pos = fwd.nonzero()[0]
+        fwd_seg = seg_of[fwd_pos]
+        fwd_port = dport[order[fwd_pos]]
+        if fwd_pos.size:
+            first_fwd = np.ones(fwd_pos.shape[0], dtype=bool)
+            np.not_equal(fwd_seg[1:], fwd_seg[:-1], out=first_fwd[1:])
+            port0[fwd_seg[first_fwd]] = fwd_port[first_fwd]
+        previous_port = self._port0[merged_rows]
+        port0[merged] = np.where(previous_port >= 0, previous_port, port0[merged])
+
+        # ---- write the run's flows into rows -------------------------------
+        new = ~s_merged
+        rows = np.empty(n_seg, dtype=np.int64)
+        rows[merged] = merged_rows
+        rows[new] = self._alloc(n_seg - merged.shape[0])
+        self._floats[rows] = flow
+        self._ints[rows] = agg
+        self._init_a[rows] = init_a
+        self._label[rows] = seg_label
+        self._port0[rows] = port0
+        self._alive[rows] = True
+
+        # A key keeps its table rank while its flow continues; a key entering
+        # the table is ranked by first appearance in the batch.
+        tail = last_of_key.nonzero()[0]
+        inherited = slot_row[present.searchsorted(seg_slot[tail])]
+        self._rank[rows[tail]] = np.where(
+            inherited >= 0, self._rank[inherited], self._next_rank + seg_slot[tail]
         )
+        self._next_rank += len(keys)
 
-        # Inter-arrival times: every non-first packet of a segment, plus the
-        # bridge from a merged record's last packet to the segment's first.
-        iat = gap.copy()
-        iat_valid = ~seg_break
-        for s in np.flatnonzero(seg_merge):
-            pos = seg_start_pos[s]
-            iat_valid[pos] = True
-            # gap[pos] already holds t0 - last_packet_time from the merge pass
+        flow_keys: Dict[int, FlowKey] = {}
+        key_objects = self._keys
+        for row, j, is_tail in zip(
+            rows[new].tolist(), seg_slot[new].tolist(), last_of_key[new].tolist()
+        ):
+            key = flow_keys.get(j)
+            if key is None:
+                key = flow_keys[j] = FlowKey(*keys[j])
+            key_objects[row] = key
+            if is_tail:
+                row_of[keys[j]] = row
 
-        # ---- array reductions into per-segment aggregates -----------------
-        fwd_seg = seg[fwd]
-        bwd_seg = seg[~fwd]
-        fwd_len = g_len[fwd]
-        bwd_len = g_len[~fwd]
-        agg_fwd_packets = np.bincount(fwd_seg, minlength=n_seg).astype(np.int64)
-        agg_bwd_packets = np.bincount(bwd_seg, minlength=n_seg).astype(np.int64)
-        agg_fwd_bytes = np.bincount(fwd_seg, weights=fwd_len, minlength=n_seg)
-        agg_bwd_bytes = np.bincount(bwd_seg, weights=bwd_len, minlength=n_seg)
-        agg_fwd_sumsq = np.bincount(fwd_seg, weights=fwd_len * fwd_len, minlength=n_seg)
-        agg_bwd_sumsq = np.bincount(bwd_seg, weights=bwd_len * bwd_len, minlength=n_seg)
-        agg_fwd_min, agg_fwd_max = segment_min_max(fwd_len, fwd_seg, n_seg)
+        other = (fwd_port != port0[fwd_seg]).nonzero()[0]
+        for row, port in zip(rows[fwd_seg[other]].tolist(), fwd_port[other].tolist()):
+            self._more_ports.setdefault(row, set()).add(port)
 
-        iat_seg = seg[iat_valid]
-        iat_vals = iat[iat_valid]
-        agg_iat_count = np.bincount(iat_seg, minlength=n_seg).astype(np.int64)
-        agg_iat_sum = np.bincount(iat_seg, weights=iat_vals, minlength=n_seg)
-        agg_iat_sumsq = np.bincount(iat_seg, weights=iat_vals * iat_vals, minlength=n_seg)
-        agg_iat_min, agg_iat_max = segment_min_max(iat_vals, iat_seg, n_seg)
+        # ---- expiry at the run's last packet: one mask over all rows -------
+        now = ts[-1]
+        floats = self._floats
+        dead = self._alive & (
+            ((now - floats[:, _F_END]) > idle) | ((now - floats[:, _F_START]) > max_dur)
+        )
+        closed = np.concatenate([superseded, rows[~last_of_key]])
+        dead[closed] = False
+        timed_out = dead.nonzero()[0]
+        timed_out = timed_out[self._rank[timed_out].argsort(kind="stable")]
+        for row in timed_out.tolist():
+            key = key_objects[row]
+            del row_of[(key.ip_a, key.port_a, key.ip_b, key.port_b, key.protocol)]
+        return self._emit(np.concatenate([closed, timed_out]))
 
-        flag_counts = {}
-        for name, bit in TCP_FLAGS.items():
-            flag_counts[name] = np.bincount(
-                seg, weights=((g_flags & bit) != 0).astype(np.float64), minlength=n_seg
-            ).astype(np.int64)
-
-        # Distinct destination ports of forward packets, per segment (ports
-        # fit in 16 bits, so (segment, port) pairs pack into one integer).
-        port_pairs = np.unique(fwd_seg * (1 << 17) + g_dport[fwd])
-        ports_per_seg: Dict[int, np.ndarray] = {}
-        if port_pairs.size:
-            pair_seg = port_pairs >> 17
-            pair_port = port_pairs & ((1 << 17) - 1)
-            splits = np.flatnonzero(np.diff(pair_seg)) + 1
-            for sid, arr in zip(pair_seg[np.r_[0, splits]], np.split(pair_port, splits)):
-                ports_per_seg[int(sid)] = arr
-
-        # First attack label per segment (if any).
-        attack_pos = np.flatnonzero(g_label != "benign")
-        first_attack = np.full(n_seg, n_kept, dtype=np.int64)
-        if attack_pos.size:
-            np.minimum.at(first_attack, seg[attack_pos], attack_pos)
-
-        # ---- build / update flow records ----------------------------------
-        slot_last_seg = {}
-        for s in range(n_seg):
-            slot_last_seg[int(seg_slot[s])] = s
-        for s in range(n_seg):
-            j = int(seg_slot[s])
-            label = "benign"
-            if first_attack[s] < n_kept:
-                label = str(g_label[first_attack[s]])
-            ports = ports_per_seg.get(s)
-            if seg_merge[s]:
-                record = merged_record[j]
-                record.end_time = max(record.end_time, float(seg_t1[s]))
-                record.last_packet_time = float(seg_t1[s])
-                record.fwd_packets += int(agg_fwd_packets[s])
-                record.bwd_packets += int(agg_bwd_packets[s])
-                record.fwd_bytes += int(agg_fwd_bytes[s])
-                record.bwd_bytes += int(agg_bwd_bytes[s])
-                record.fwd_len_sumsq += float(agg_fwd_sumsq[s])
-                record.bwd_len_sumsq += float(agg_bwd_sumsq[s])
-                record.fwd_len_min = min(record.fwd_len_min, float(agg_fwd_min[s]))
-                record.fwd_len_max = max(record.fwd_len_max, float(agg_fwd_max[s]))
-                record.iat_count += int(agg_iat_count[s])
-                record.iat_sum += float(agg_iat_sum[s])
-                record.iat_sumsq += float(agg_iat_sumsq[s])
-                record.iat_min = min(record.iat_min, float(agg_iat_min[s]))
-                record.iat_max = max(record.iat_max, float(agg_iat_max[s]))
-                record.syn_count += int(flag_counts["SYN"][s])
-                record.fin_count += int(flag_counts["FIN"][s])
-                record.rst_count += int(flag_counts["RST"][s])
-                record.psh_count += int(flag_counts["PSH"][s])
-                record.ack_count += int(flag_counts["ACK"][s])
-                record.urg_count += int(flag_counts["URG"][s])
-                if ports is not None:
-                    record.distinct_dst_ports.update(int(p) for p in ports)
-                if label != "benign" and record.label == "benign":
-                    record.label = label
-            else:
-                record = FlowRecord(
-                    key=flow_keys[j],
-                    initiator_ip=str(init_ip[s]),
-                    initiator_port=int(init_port[s]),
-                    start_time=float(seg_t0[s]),
-                    end_time=float(seg_t1[s]),
-                    label=label,
-                    fwd_packets=int(agg_fwd_packets[s]),
-                    bwd_packets=int(agg_bwd_packets[s]),
-                    fwd_bytes=int(agg_fwd_bytes[s]),
-                    bwd_bytes=int(agg_bwd_bytes[s]),
-                    fwd_len_sumsq=float(agg_fwd_sumsq[s]),
-                    fwd_len_min=float(agg_fwd_min[s]),
-                    fwd_len_max=float(agg_fwd_max[s]),
-                    bwd_len_sumsq=float(agg_bwd_sumsq[s]),
-                    iat_count=int(agg_iat_count[s]),
-                    iat_sum=float(agg_iat_sum[s]),
-                    iat_sumsq=float(agg_iat_sumsq[s]),
-                    iat_min=float(agg_iat_min[s]),
-                    iat_max=float(agg_iat_max[s]),
-                    last_packet_time=float(seg_t1[s]),
-                    syn_count=int(flag_counts["SYN"][s]),
-                    fin_count=int(flag_counts["FIN"][s]),
-                    rst_count=int(flag_counts["RST"][s]),
-                    psh_count=int(flag_counts["PSH"][s]),
-                    ack_count=int(flag_counts["ACK"][s]),
-                    urg_count=int(flag_counts["URG"][s]),
-                    distinct_dst_ports=set(int(p) for p in ports) if ports is not None else set(),
+    def _emit(self, rows: np.ndarray) -> List[FlowRecord]:
+        """Build the records of ``rows`` (in order) and free the rows."""
+        if not rows.size:
+            return []
+        keys = self._keys
+        names = self._label_names
+        more_ports = self._more_ports
+        records = []
+        for row, init_a, label, port0, ints, floats in zip(
+            rows.tolist(),
+            self._init_a[rows].tolist(),
+            self._label[rows].tolist(),
+            self._port0[rows].tolist(),
+            self._ints[rows].tolist(),
+            self._floats[rows].tolist(),
+        ):
+            key = keys[row]
+            keys[row] = None
+            ports = more_ports.pop(row, set())
+            if port0 >= 0:
+                ports.add(port0)
+            fwd_n, bwd_n, fwd_bytes, bwd_bytes, iats, syn, fin, rst, psh, ack, urg = ints
+            start, end, last, fwd_sq, bwd_sq, iat_sum, iat_sq, fwd_min, iat_min, fwd_max, iat_max = (
+                floats
+            )
+            records.append(
+                FlowRecord(
+                    key,
+                    key.ip_a if init_a else key.ip_b,
+                    key.port_a if init_a else key.port_b,
+                    start,
+                    end,
+                    names[label],
+                    fwd_n,
+                    bwd_n,
+                    fwd_bytes,
+                    bwd_bytes,
+                    fwd_sq,
+                    fwd_min,
+                    fwd_max,
+                    bwd_sq,
+                    iats,
+                    iat_sum,
+                    iat_sq,
+                    iat_min,
+                    iat_max,
+                    last,
+                    syn,
+                    fin,
+                    rst,
+                    psh,
+                    ack,
+                    urg,
+                    ports,
                 )
-            if slot_last_seg[j] == s:
-                self._active[flow_keys[j]] = record
-            else:
-                # A later packet of the same key superseded this segment.
-                completed.append(record)
-
-        # ---- batch-end expiry (the last packet's arrival time) ------------
-        completed.extend(self._expire(float(ts[-1])))
-        return completed
+            )
+        self._alive[rows] = False
+        self._free[self._n_free : self._n_free + rows.shape[0]] = rows
+        self._n_free += rows.shape[0]
+        return records

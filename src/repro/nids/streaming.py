@@ -149,10 +149,13 @@ class StreamingDetector:
         return self.results[-1] if len(self.results) > before else None
 
     def push_many(self, packets: Iterable[Packet]) -> List[WindowResult]:
-        """Ingest many packets; returns all completed window results."""
+        """Ingest many packets; returns all completed window results.
+
+        The packets enter the engine in bulk; windows complete at the same
+        packet counts as pushing the packets one by one.
+        """
         before = len(self.results)
-        for packet in packets:
-            self.engine.submit(packet)
+        self.engine.submit_many(list(packets))
         return self.results[before:]
 
     def flush(self) -> WindowResult:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -98,6 +98,20 @@ class BoundedQueue:
             if len(self._items) > self.stats.high_watermark:
                 self.stats.high_watermark = len(self._items)
             return True
+
+    def push_many(self, items: Sequence[Any]) -> int:
+        """Enqueue as many of ``items`` as fit, in order, evicting nothing.
+
+        Returns how many were taken; the counters move as one :meth:`push`
+        per taken item would move them.
+        """
+        with self._lock:
+            n = max(min(len(items), self.capacity - len(self._items)), 0)
+            self._items.extend(items[:n])
+            self.stats.submitted += n
+            self.stats.accepted += n
+            self.stats.high_watermark = max(self.stats.high_watermark, len(self._items))
+            return n
 
     def drain(self, max_items: Optional[int] = None) -> List[Any]:
         """Pop up to ``max_items`` (all, when None) from the head."""

@@ -120,49 +120,38 @@ class InferenceEngine:
         reaches ``on_batch`` and ``batches`` regardless of what this call
         returns; the return value is a convenience for synchronous callers.
         """
-        dispatched: Optional[ServingBatch] = None
-        # Items are queued with their enqueue timestamp, so queue-wait
-        # telemetry and max_wait dispatch reflect each item's true age even
-        # across partial drains and drop-oldest evictions.
-        entry = (self.clock(), item)
-        while not self.queue.push(entry):
-            # block policy, queue full
-            if self._worker is not None:
-                with self.queue.not_full:
-                    start = self.clock()
-                    self.queue.not_full.wait(timeout=0.1)
-                    self.queue.stats.blocked_seconds += self.clock() - start
-            else:
-                self.queue.stats.forced_flushes += 1
-                batch = self._dispatch()
-                if batch is not None:
-                    dispatched = batch
-        if self._worker is not None:
-            return None
-        polled = self.poll()
-        return polled if polled is not None else dispatched
+        dispatched = self.submit_many([item])
+        return dispatched[-1] if dispatched else None
 
     def submit_many(self, items: Sequence[Any]) -> List[ServingBatch]:
-        """Enqueue many items; returns every batch dispatched along the way."""
-        results: List[ServingBatch] = []
-        for item in items:
-            result = self.submit(item)
-            if result is not None:
-                results.append(result)
-        return results
+        """Enqueue many items; returns every batch dispatched along the way.
+
+        Batches dispatch at exactly the points one :meth:`submit` per item
+        would dispatch them, but the items travel in chunks: each chunk is
+        the run of items no dispatch condition can interrupt, enqueued under
+        one lock.  The clock is read once per call, so every item of the
+        call carries the same enqueue time (queue-wait telemetry and
+        ``max_wait_s`` see the call as one arrival).
+        """
+        dispatched: List[ServingBatch] = []
+        now = self.clock()
+        i, n = 0, len(items)
+        while i < n:
+            k = self._chunk(n - i, now)
+            if k:
+                i += self.queue.push_many([(now, item) for item in items[i : i + k]])
+            else:
+                self._push_blocking((now, items[i]), dispatched)
+                i += 1
+            if self._worker is None:
+                batch = self._poll(now)
+                if batch is not None:
+                    dispatched.append(batch)
+        return dispatched if self._worker is None else []
 
     def poll(self) -> Optional[ServingBatch]:
         """Dispatch if a size/wait condition holds; returns the batch if so."""
-        if self.pending >= self.max_batch_size:
-            return self._dispatch()
-        head = self.queue.peek_oldest()
-        if (
-            self.max_wait_s is not None
-            and head is not None
-            and (self.clock() - head[0]) >= self.max_wait_s
-        ):
-            return self._dispatch()
-        return None
+        return self._poll(self.clock())
 
     def flush(self) -> Optional[ServingBatch]:
         """Dispatch whatever is queued, regardless of size/age."""
@@ -212,6 +201,50 @@ class InferenceEngine:
         self._worker = None
 
     # ------------------------------------------------------------- internals
+    def _chunk(self, remaining: int, now: float) -> int:
+        """How many items can be enqueued before a dispatch condition could
+        fire (0: the queue is full, take the one-item path)."""
+        queued = len(self.queue)
+        k = min(remaining, self.queue.capacity - queued)
+        if k <= 0 or self._worker is not None:
+            return max(k, 0)
+        if queued >= self.max_batch_size:
+            return 1
+        k = min(k, self.max_batch_size - queued)
+        if self.max_wait_s is not None:
+            head = self.queue.peek_oldest()
+            age = 0.0 if head is None else now - head[0]
+            if age >= self.max_wait_s:
+                return 1
+        return k
+
+    def _push_blocking(self, entry: Any, dispatched: List[ServingBatch]) -> None:
+        """Enqueue one entry into a full queue, making room per the policy."""
+        while not self.queue.push(entry):
+            # block policy, queue full
+            if self._worker is not None:
+                with self.queue.not_full:
+                    start = self.clock()
+                    self.queue.not_full.wait(timeout=0.1)
+                    self.queue.stats.blocked_seconds += self.clock() - start
+            else:
+                self.queue.stats.forced_flushes += 1
+                batch = self._dispatch()
+                if batch is not None:
+                    dispatched.append(batch)
+
+    def _poll(self, now: float) -> Optional[ServingBatch]:
+        if self.pending >= self.max_batch_size:
+            return self._dispatch()
+        head = self.queue.peek_oldest()
+        if (
+            self.max_wait_s is not None
+            and head is not None
+            and (now - head[0]) >= self.max_wait_s
+        ):
+            return self._dispatch()
+        return None
+
     def _dispatch(self) -> Optional[ServingBatch]:
         with self._dispatch_lock:
             entries = self.queue.drain(self.max_batch_size)

@@ -313,33 +313,3 @@ class TestBenchHarness:
         ops = {r["op"] for r in payload["records"]}
         assert "fit_speedup" in ops and "encode_rbf" in ops
         assert "fit_speedup" in capsys.readouterr().out
-
-
-class TestSegmentMinMax:
-    def test_matches_reference(self):
-        from repro.hdc.backend import segment_min_max
-
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=200)
-        ids = rng.integers(0, 7, size=200)
-        mins, maxs = segment_min_max(values, ids, 7)
-        for k in range(7):
-            group = values[ids == k]
-            if group.size:
-                assert mins[k] == group.min()
-                assert maxs[k] == group.max()
-
-    def test_empty_segments_are_inf(self):
-        from repro.hdc.backend import segment_min_max
-
-        mins, maxs = segment_min_max(np.array([1.0]), np.array([0]), 3)
-        assert mins[0] == 1.0 and maxs[0] == 1.0
-        assert np.isinf(mins[1]) and np.isinf(maxs[2])
-
-    def test_rejects_bad_ids(self):
-        from repro.hdc.backend import segment_min_max
-
-        with pytest.raises(ConfigurationError):
-            segment_min_max(np.ones(3), np.array([0, 1, 5]), 3)
-        with pytest.raises(ConfigurationError):
-            segment_min_max(np.ones(3), np.array([0, 1]), 3)

@@ -6,9 +6,11 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.nids.alerts import Alert, AlertManager, Severity, classify_severity
 from repro.nids.feature_extraction import FLOW_FEATURE_NAMES, FlowFeatureExtractor
-from repro.nids.flow import FlowKey, FlowRecord, FlowTable
+from repro.nids.flow import FlowKey, FlowTable
 from repro.nids.metrics import confusion_matrix, detection_report
 from repro.nids.packets import DEFAULT_PROFILES, Packet, TrafficGenerator
+
+from flow_oracle import fold_packet, record_from_first_packet
 
 
 def _make_packet(ts=0.0, src="10.0.0.2", dst="192.168.1.5", sport=5555, dport=80, label="benign", flags=0x10):
@@ -72,17 +74,18 @@ class TestFlowAssembly:
 
     def test_flow_record_accumulates(self):
         first = _make_packet(ts=1.0)
-        record = FlowRecord.from_first_packet(first)
-        record.add_packet(_make_packet(ts=2.0))
-        record.add_packet(_make_packet(ts=3.5, src="192.168.1.5", dst="10.0.0.2", sport=80, dport=5555))
+        record = record_from_first_packet(first)
+        fold_packet(record, _make_packet(ts=2.0))
+        reply = _make_packet(ts=3.5, src="192.168.1.5", dst="10.0.0.2", sport=80, dport=5555)
+        fold_packet(record, reply)
         assert record.fwd_packets == 2
         assert record.bwd_packets == 1
         assert record.duration == pytest.approx(2.5)
         assert record.total_bytes == 300
 
     def test_flow_label_prefers_attack(self):
-        record = FlowRecord.from_first_packet(_make_packet(label="benign"))
-        record.add_packet(_make_packet(ts=0.5, label="port_scan"))
+        record = record_from_first_packet(_make_packet(label="benign"))
+        fold_packet(record, _make_packet(ts=0.5, label="port_scan"))
         assert record.label == "port_scan"
 
     def test_flow_table_idle_timeout(self):
@@ -116,8 +119,9 @@ class TestFlowAssembly:
 class TestFeatureExtraction:
     def test_feature_vector_shape_and_names(self):
         extractor = FlowFeatureExtractor()
-        record = FlowRecord.from_first_packet(_make_packet())
-        record.add_packet(_make_packet(ts=0.4))
+        table = FlowTable()
+        table.add_packets([_make_packet(), _make_packet(ts=0.4)])
+        (record,) = table.flush()
         features = extractor.extract(record)
         assert features.shape == (len(FLOW_FEATURE_NAMES),)
         assert extractor.n_features == len(FLOW_FEATURE_NAMES)
@@ -237,7 +241,7 @@ class TestMetrics:
 
 class TestAlerts:
     def _flow(self):
-        return FlowRecord.from_first_packet(_make_packet())
+        return record_from_first_packet(_make_packet())
 
     def test_severity_mapping(self):
         assert classify_severity("port_scan") == Severity.LOW
@@ -261,6 +265,22 @@ class TestAlerts:
         assert manager.raise_alert(flow, "dos", 0.9, timestamp=2.0) is None
         assert manager.suppressed == 1
         assert manager.raise_alert(flow, "dos", 0.9, timestamp=20.0) is not None
+
+    def test_dedup_keys_on_destination_when_initiator_is_endpoint_b(self):
+        # 192.168.9.9 sorts after both victims, so it is each key's B endpoint.
+        manager = AlertManager(dedup_window=10.0)
+        first = record_from_first_packet(
+            _make_packet(ts=1.0, src="192.168.9.9", dst="10.0.0.1", sport=40000, dport=22)
+        )
+        second = record_from_first_packet(
+            _make_packet(ts=2.0, src="192.168.9.9", dst="10.0.0.2", sport=40001, dport=22)
+        )
+        assert first.key.ip_b == first.initiator_ip == second.key.ip_b
+        assert manager.raise_alert(first, "ssh_bruteforce", 0.9) is not None
+        alert = manager.raise_alert(second, "ssh_bruteforce", 0.9)
+        assert alert is not None and alert.destination_ip == "10.0.0.2"
+        assert manager.suppressed == 0
+        assert manager.raise_alert(second, "ssh_bruteforce", 0.9, timestamp=3.0) is None
 
     def test_min_confidence_filter(self):
         manager = AlertManager(min_confidence=0.5)

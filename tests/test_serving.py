@@ -27,6 +27,8 @@ from repro.serving import (
     score_confidences,
 )
 
+from flow_oracle import ScalarFlowTable
+
 
 @pytest.fixture(scope="module")
 def split_dataset():
@@ -38,51 +40,39 @@ def split_dataset():
 
 
 class TestColumnarFlowEquivalence:
-    """The vectorized FlowTable/extractor must match the scalar path exactly."""
+    """The struct-of-arrays FlowTable must match the scalar oracle exactly."""
 
     def test_batch_matches_scalar(self):
         packets = TrafficGenerator(seed=3).generate(120)
-        scalar = FlowTable(idle_timeout=2.0)
-        flows_a = scalar._add_packets_scalar(packets) + scalar.flush()
+        scalar = ScalarFlowTable(idle_timeout=2.0)
+        flows_a = scalar.add_packets(packets) + scalar.flush()
         columnar = FlowTable(idle_timeout=2.0)
         flows_b = columnar.add_packets(packets) + columnar.flush()
-
-        def keyed(flows):
-            return {(f.key, round(f.start_time, 9)): f for f in flows}
-
-        a, b = keyed(flows_a), keyed(flows_b)
-        assert set(a) == set(b)
+        assert flows_b == flows_a
         extractor = FlowFeatureExtractor()
-        Xa, _ = extractor.extract_batch([a[k] for k in sorted(a, key=str)], dtype=np.float64)
-        Xb, _ = extractor.extract_batch([b[k] for k in sorted(b, key=str)], dtype=np.float64)
-        np.testing.assert_allclose(Xa, Xb, rtol=1e-9, atol=1e-9)
-        for k in a:
-            assert a[k].label == b[k].label
-            assert a[k].distinct_dst_ports == b[k].distinct_dst_ports
+        Xa, _ = extractor.extract_batch(flows_a, dtype=np.float64)
+        Xb, _ = extractor.extract_batch(flows_b, dtype=np.float64)
+        np.testing.assert_array_equal(Xa, Xb)
 
     def test_cross_batch_merging_matches_scalar(self):
         packets = TrafficGenerator(seed=4).generate(80)
-        scalar = FlowTable(idle_timeout=2.0)
-        flows_a = scalar._add_packets_scalar(packets) + scalar.flush()
+        scalar = ScalarFlowTable(idle_timeout=2.0)
         chunked = FlowTable(idle_timeout=2.0)
-        flows_b = []
         for i in range(0, len(packets), 97):
-            flows_b.extend(chunked.add_packets(packets[i : i + 97]))
-        flows_b.extend(chunked.flush())
-        assert {(f.key, round(f.start_time, 9)) for f in flows_a} == {
-            (f.key, round(f.start_time, 9)) for f in flows_b
-        }
-        assert sum(f.total_packets for f in flows_a) == sum(f.total_packets for f in flows_b)
+            assert chunked.add_packets(packets[i : i + 97]) == scalar.add_packets(
+                packets[i : i + 97]
+            )
+            assert chunked.active_flows == scalar.active_flows
+        assert chunked.flush() == scalar.flush()
 
     def test_duration_overrun_fallback_matches_scalar(self):
         packets = TrafficGenerator(seed=5).generate(60)
-        scalar = FlowTable(idle_timeout=100.0, max_flow_duration=0.5)
-        flows_a = scalar._add_packets_scalar(packets) + scalar.flush()
+        scalar = ScalarFlowTable(idle_timeout=100.0, max_flow_duration=0.5)
+        flows_a = scalar.add_packets(packets) + scalar.flush()
         columnar = FlowTable(idle_timeout=100.0, max_flow_duration=0.5)
         flows_b = columnar.add_packets(packets) + columnar.flush()
-        assert {(f.key, round(f.start_time, 9)) for f in flows_a} == {
-            (f.key, round(f.start_time, 9)) for f in flows_b
-        }
+        assert len(flows_b) > len({flow.key for flow in flows_b})  # flows were split
+        assert flows_b == flows_a
 
     def test_extract_single_matches_batch(self):
         table = FlowTable()
