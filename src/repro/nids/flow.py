@@ -649,9 +649,8 @@ class FlowTable:
             if port0 >= 0:
                 ports.add(port0)
             fwd_n, bwd_n, fwd_bytes, bwd_bytes, iats, syn, fin, rst, psh, ack, urg = ints
-            start, end, last, fwd_sq, bwd_sq, iat_sum, iat_sq, fwd_min, iat_min, fwd_max, iat_max = (
-                floats
-            )
+            start, end, last, fwd_sq, bwd_sq, iat_sum, iat_sq = floats[:7]
+            fwd_min, iat_min, fwd_max, iat_max = floats[7:]
             records.append(
                 FlowRecord(
                     key,
